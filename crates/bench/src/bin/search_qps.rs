@@ -154,13 +154,13 @@ fn main() {
         "1.00x".into(),
     ]);
     table.row(&[
-        "Snapshot::search_many".into(),
+        "Collection::search_many".into(),
         "1".into(),
         format!("{qps_many_1:.0}"),
         format!("{:.2}x", qps_many_1 / qps_serial),
     ]);
     table.row(&[
-        "Snapshot::search_many".into(),
+        "Collection::search_many".into(),
         format!("{threads}"),
         format!("{qps_many_t:.0}"),
         format!("{:.2}x", qps_many_t / qps_serial),

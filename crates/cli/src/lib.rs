@@ -61,8 +61,8 @@ use rabitq_hnsw::HnswConfig;
 use rabitq_ivf::{IvfConfig, IvfRabitq};
 use rabitq_metrics::{recall_at_k, Stopwatch};
 use rabitq_store::{
-    Collection, CollectionConfig, DiskIo, Manifest, ParallelOptions, Segment, Wal, MANIFEST_FILE,
-    QUARANTINE_SUFFIX, WAL_FILE,
+    CancelToken, Collection, CollectionConfig, DiskIo, Manifest, ParallelOptions, Segment, Wal,
+    MANIFEST_FILE, QUARANTINE_SUFFIX, WAL_FILE,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -695,9 +695,12 @@ fn cmd_collection_search(flags: &Flags) -> Result<(), String> {
         let snapshot = collection.snapshot();
         for q in queries.chunks_exact(qdim) {
             sw.start();
-            let res = snapshot.search_parallel(q, k, nprobe, opts);
+            let res = snapshot.search_parallel(q, k, nprobe, opts, &CancelToken::none());
             sw.stop();
-            record(res);
+            record(
+                res.into_result()
+                    .expect("a never-cancelling token cannot cancel"),
+            );
         }
     } else {
         mode = "serial".to_string();

@@ -20,4 +20,4 @@ pub use common::{IvfConfig, RerankStrategy, SearchResult, TopK};
 pub use flat::{FlatRabitq, RangeResult};
 pub use mips::{FlatMips, MipsResult};
 pub use pq_ivf::{IvfPq, PqVariant, ScanMode};
-pub use rabitq_ivf::{IvfRabitq, SearchScratch};
+pub use rabitq_ivf::{IvfRabitq, SearchRequest, SearchScratch};

@@ -53,7 +53,7 @@ pub struct IvfRabitq {
     n_deleted: AtomicUsize,
 }
 
-/// Reusable per-thread buffers for [`IvfRabitq::search_into`]: every heap
+/// Reusable per-thread buffers for [`IvfRabitq::search_request`]: every heap
 /// allocation the query path would otherwise make per call (or worse, per
 /// probed bucket) lives here and is overwritten in place. One scratch
 /// serves one search thread; at steady state (after the buffers have grown
@@ -72,12 +72,12 @@ pub struct SearchScratch {
     pool: Vec<(u32, f32)>,
     /// Bounded top-K tracker (heap storage reused across queries).
     top: TopK,
-    /// Neighbors of the most recent [`IvfRabitq::search_into`] call:
+    /// Neighbors of the most recent [`IvfRabitq::search_request`] call:
     /// `(id, squared distance)` ascending, same contract as
     /// [`SearchResult::neighbors`]. Public so engine layers (e.g. segment
     /// id remapping in `rabitq-store`) can rewrite ids in place.
     pub neighbors: Vec<(u32, f32)>,
-    /// Stage breakdown of the most recent [`IvfRabitq::search_into`] call
+    /// Stage breakdown of the most recent [`IvfRabitq::search_request`] call
     /// (`Copy`, fixed-size — no allocation). Engine layers accumulate it
     /// per query across segments and feed the global stage timers.
     pub stages: StageNanos,
@@ -103,6 +103,21 @@ impl Default for SearchScratch {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// One query's parameters for [`IvfRabitq::search_request`]: how many
+/// neighbors, how many buckets to probe, how candidates are re-ranked,
+/// and the token polled at every probed-bucket boundary.
+#[derive(Clone, Copy, Debug)]
+pub struct SearchRequest<'a> {
+    /// Neighbors to return.
+    pub k: usize,
+    /// Buckets to probe (clamped to `1..=n_buckets`).
+    pub nprobe: usize,
+    /// How scanned candidates become results.
+    pub strategy: RerankStrategy,
+    /// Cancellation checkpoint; [`CancelToken::none`] never cancels.
+    pub cancel: &'a CancelToken,
 }
 
 /// Closes one traced stage: charges the time since `since` to `stage` and
@@ -317,7 +332,7 @@ impl IvfRabitq {
     /// [`SearchScratch`] — one scratch allocation per call instead of the
     /// historical per-probed-bucket allocations. Serving layers that care
     /// about the allocator (e.g. `rabitq-store`) hold a scratch per thread
-    /// and call `search_into` directly.
+    /// and call [`IvfRabitq::search_request`] directly.
     pub fn search_with<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -337,13 +352,9 @@ impl IvfRabitq {
         }
     }
 
-    /// The allocation-free search core. Results land in
-    /// [`SearchScratch::neighbors`] (`(id, squared distance)` ascending —
-    /// the [`SearchResult`] contract); the return value is
-    /// `(n_estimated, n_reranked)`. Once `scratch` has warmed up (its
-    /// buffers reached the workload's shape), the steady-state query path
-    /// performs **zero heap allocations** — verified by the
-    /// counting-allocator test in `tests/alloc_free.rs`.
+    /// [`IvfRabitq::search_request`] with a never-cancelling token: results
+    /// land in [`SearchScratch::neighbors`], the return value is
+    /// `(n_estimated, n_reranked)`.
     pub fn search_into<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -353,47 +364,54 @@ impl IvfRabitq {
         scratch: &mut SearchScratch,
         rng: &mut R,
     ) -> (usize, usize) {
-        self.search_into_cancellable(
-            query,
+        let req = SearchRequest {
             k,
             nprobe,
             strategy,
-            scratch,
-            rng,
-            &CancelToken::none(),
-        )
-        .expect("a never-cancelling token cannot cancel")
+            cancel: &CancelToken::none(),
+        };
+        self.search_request(query, &req, scratch, rng)
+            .expect("a never-cancelling token cannot cancel")
     }
 
-    /// [`IvfRabitq::search_into`] with cooperative cancellation: the
-    /// token is polled at every probed-bucket boundary (the scan's
-    /// natural checkpoint — coarse enough to stay off the per-code hot
-    /// path, fine enough that an expired deadline stops the query within
-    /// one bucket's worth of work). Returns `None` if the token
-    /// cancelled before the scan finished; `scratch.neighbors` is then
-    /// cleared (partial candidates are discarded, never returned) and
-    /// `scratch.stages` holds the time spent up to the bail-out.
+    /// The search core every entry point runs: rotate the query once, then
+    /// per probed bucket quantize the residual (lut_build), fast-scan the
+    /// codes (scan), and apply the strategy's step — error-bound rerank,
+    /// candidate pooling, or estimate-only ranking.
     ///
-    /// A completed scan (`Some`) is bit-identical to [`IvfRabitq::search_into`]
-    /// with the same RNG stream: the checkpoints only read the token.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_into_cancellable<R: Rng + ?Sized>(
+    /// Results land in [`SearchScratch::neighbors`] (`(id, squared
+    /// distance)` ascending — the [`SearchResult`] contract); the return
+    /// value is `(n_estimated, n_reranked)`. Once `scratch` has warmed up
+    /// (its buffers reached the workload's shape) the query path performs
+    /// **zero heap allocations** — verified by the counting-allocator test
+    /// in `tests/alloc_free.rs`.
+    ///
+    /// `req.cancel` is polled at every probed-bucket boundary (coarse
+    /// enough to stay off the per-code hot path, fine enough that an
+    /// expired deadline stops the query within one bucket's worth of
+    /// work). Returns `None` if it cancelled before the scan finished;
+    /// `scratch.neighbors` is then cleared (partial candidates are never
+    /// returned) and `scratch.stages` holds the time spent up to the
+    /// bail-out. The checkpoints only read the token, so a completed scan
+    /// is bit-identical for every token under the same RNG stream.
+    pub fn search_request<R: Rng + ?Sized>(
         &self,
         query: &[f32],
-        k: usize,
-        nprobe: usize,
-        strategy: RerankStrategy,
+        req: &SearchRequest,
         scratch: &mut SearchScratch,
         rng: &mut R,
-        cancel: &CancelToken,
     ) -> Option<(usize, usize)> {
         assert_eq!(query.len(), self.dim, "query dimensionality");
         scratch.neighbors.clear();
         scratch.stages.clear();
-        if self.is_empty() || k == 0 {
+        if self.is_empty() || req.k == 0 {
             return Some((0, 0));
         }
         let padded = self.quantizer.padded_dim();
+        let epsilon0 = match req.strategy {
+            RerankStrategy::ErrorBoundWithEpsilon(e) => e,
+            _ => self.quantizer.config().epsilon0,
+        };
         // Stage tracing: `Instant::now()` is a vDSO clock read — no
         // syscall, no allocation — so the hot path stays allocation-free
         // with tracing always on (see `tests/alloc_free.rs`).
@@ -401,154 +419,87 @@ impl IvfRabitq {
         self.quantizer
             .rotate_into(query, &mut scratch.rotated_query);
         self.coarse
-            .assign_top_n_into(query, nprobe.max(1), &mut scratch.probes);
+            .assign_top_n_into(query, req.nprobe.max(1), &mut scratch.probes);
         t = lap(&mut scratch.stages, Stage::Rotate, t);
 
         let mut n_estimated = 0usize;
         let mut n_reranked = 0usize;
-
-        match strategy {
-            RerankStrategy::ErrorBound | RerankStrategy::ErrorBoundWithEpsilon(_) => {
-                let epsilon0 = match strategy {
-                    RerankStrategy::ErrorBoundWithEpsilon(e) => e,
-                    _ => self.quantizer.config().epsilon0,
-                };
-                scratch.top.reset(k);
-                for pi in 0..scratch.probes.len() {
-                    if cancel.is_cancelled() {
-                        scratch.neighbors.clear();
-                        return None;
-                    }
-                    let c = scratch.probes[pi].0;
-                    let bucket = &self.buckets[c];
-                    if bucket.ids.is_empty() {
-                        continue;
-                    }
-                    let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
-                    self.quantizer.prepare_query_prerotated_into(
-                        &scratch.rotated_query,
-                        rc,
-                        &mut scratch.query,
-                        rng,
-                    );
-                    t = lap(&mut scratch.stages, Stage::LutBuild, t);
-                    self.quantizer.estimate_batch_with_lut(
-                        scratch.query.query(),
-                        scratch.query.lut(),
-                        &bucket.packed,
-                        &bucket.codes,
-                        epsilon0,
-                        &mut scratch.estimates,
-                    );
-                    t = lap(&mut scratch.stages, Stage::Scan, t);
-                    n_estimated += scratch.estimates.len();
-                    for (est, &id) in scratch.estimates.iter().zip(bucket.ids.iter()) {
-                        if self.is_deleted(id) {
-                            continue;
-                        }
+        scratch.top.reset(req.k);
+        scratch.pool.clear();
+        for pi in 0..scratch.probes.len() {
+            if req.cancel.is_cancelled() {
+                scratch.neighbors.clear();
+                return None;
+            }
+            let c = scratch.probes[pi].0;
+            let bucket = &self.buckets[c];
+            if bucket.ids.is_empty() {
+                continue;
+            }
+            let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
+            self.quantizer.prepare_query_prerotated_into(
+                &scratch.rotated_query,
+                rc,
+                &mut scratch.query,
+                rng,
+            );
+            t = lap(&mut scratch.stages, Stage::LutBuild, t);
+            self.quantizer.estimate_batch_with_lut(
+                scratch.query.query(),
+                scratch.query.lut(),
+                &bucket.packed,
+                &bucket.codes,
+                epsilon0,
+                &mut scratch.estimates,
+            );
+            t = lap(&mut scratch.stages, Stage::Scan, t);
+            n_estimated += scratch.estimates.len();
+            let live = scratch
+                .estimates
+                .iter()
+                .zip(bucket.ids.iter())
+                .filter(|&(_, &id)| !self.is_deleted(id));
+            let step = match req.strategy {
+                RerankStrategy::ErrorBound | RerankStrategy::ErrorBoundWithEpsilon(_) => {
+                    for (est, &id) in live {
                         // The paper's rule: drop iff lower bound exceeds the
                         // current K-th best exact distance.
                         if est.lower_bound < scratch.top.threshold() {
-                            let exact = self.exact_distance(id, query);
                             n_reranked += 1;
-                            scratch.top.push(id, exact);
+                            scratch.top.push(id, self.exact_distance(id, query));
                         }
                     }
-                    t = lap(&mut scratch.stages, Stage::Rerank, t);
+                    Stage::Rerank
                 }
-            }
-            RerankStrategy::TopCandidates(rerank_n) => {
-                scratch.pool.clear();
-                for pi in 0..scratch.probes.len() {
-                    if cancel.is_cancelled() {
-                        scratch.neighbors.clear();
-                        return None;
-                    }
-                    let c = scratch.probes[pi].0;
-                    let bucket = &self.buckets[c];
-                    if bucket.ids.is_empty() {
-                        continue;
-                    }
-                    let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
-                    self.quantizer.prepare_query_prerotated_into(
-                        &scratch.rotated_query,
-                        rc,
-                        &mut scratch.query,
-                        rng,
-                    );
-                    t = lap(&mut scratch.stages, Stage::LutBuild, t);
-                    self.quantizer.estimate_batch_with_lut(
-                        scratch.query.query(),
-                        scratch.query.lut(),
-                        &bucket.packed,
-                        &bucket.codes,
-                        self.quantizer.config().epsilon0,
-                        &mut scratch.estimates,
-                    );
-                    n_estimated += scratch.estimates.len();
-                    scratch.pool.extend(
-                        scratch
-                            .estimates
-                            .iter()
-                            .zip(bucket.ids.iter())
-                            .filter(|&(_, &id)| !self.is_deleted(id))
-                            .map(|(est, &id)| (id, est.dist_sq)),
-                    );
-                    t = lap(&mut scratch.stages, Stage::Scan, t);
-                }
-                let take = rerank_n.max(k).min(scratch.pool.len());
-                if take > 0 {
+                RerankStrategy::TopCandidates(_) => {
                     scratch
                         .pool
-                        .select_nth_unstable_by(take - 1, |a, b| a.1.total_cmp(&b.1));
-                    scratch.pool.truncate(take);
+                        .extend(live.map(|(est, &id)| (id, est.dist_sq)));
+                    Stage::Scan
                 }
-                scratch.top.reset(k);
-                for pi in 0..scratch.pool.len() {
-                    let id = scratch.pool[pi].0;
-                    let exact = self.exact_distance(id, query);
-                    n_reranked += 1;
-                    scratch.top.push(id, exact);
+                RerankStrategy::None => {
+                    for (est, &id) in live {
+                        scratch.top.push(id, est.dist_sq);
+                    }
+                    Stage::Scan
                 }
-                t = lap(&mut scratch.stages, Stage::Rerank, t);
+            };
+            t = lap(&mut scratch.stages, step, t);
+        }
+        if let RerankStrategy::TopCandidates(rerank_n) = req.strategy {
+            // PQ-style: re-rank the best `rerank_n` pooled estimates exactly.
+            let take = rerank_n.max(req.k).min(scratch.pool.len());
+            if take > 0 {
+                scratch
+                    .pool
+                    .select_nth_unstable_by(take - 1, |a, b| a.1.total_cmp(&b.1));
+                scratch.pool.truncate(take);
             }
-            RerankStrategy::None => {
-                scratch.top.reset(k);
-                for pi in 0..scratch.probes.len() {
-                    if cancel.is_cancelled() {
-                        scratch.neighbors.clear();
-                        return None;
-                    }
-                    let c = scratch.probes[pi].0;
-                    let bucket = &self.buckets[c];
-                    if bucket.ids.is_empty() {
-                        continue;
-                    }
-                    let rc = &self.rotated_centroids[c * padded..(c + 1) * padded];
-                    self.quantizer.prepare_query_prerotated_into(
-                        &scratch.rotated_query,
-                        rc,
-                        &mut scratch.query,
-                        rng,
-                    );
-                    t = lap(&mut scratch.stages, Stage::LutBuild, t);
-                    self.quantizer.estimate_batch_with_lut(
-                        scratch.query.query(),
-                        scratch.query.lut(),
-                        &bucket.packed,
-                        &bucket.codes,
-                        self.quantizer.config().epsilon0,
-                        &mut scratch.estimates,
-                    );
-                    n_estimated += scratch.estimates.len();
-                    for (est, &id) in scratch.estimates.iter().zip(bucket.ids.iter()) {
-                        if !self.is_deleted(id) {
-                            scratch.top.push(id, est.dist_sq);
-                        }
-                    }
-                    t = lap(&mut scratch.stages, Stage::Scan, t);
-                }
+            for &(id, _) in &scratch.pool {
+                n_reranked += 1;
+                scratch.top.push(id, self.exact_distance(id, query));
             }
+            t = lap(&mut scratch.stages, Stage::Rerank, t);
         }
         scratch.top.drain_sorted_into(&mut scratch.neighbors);
         lap(&mut scratch.stages, Stage::Merge, t);
@@ -1024,15 +975,13 @@ mod tests {
             RerankStrategy::None,
         ] {
             let mut rng = StdRng::seed_from_u64(21);
-            let got = index.search_into_cancellable(
-                ds.query(0),
-                5,
-                8,
+            let req = SearchRequest {
+                k: 5,
+                nprobe: 8,
                 strategy,
-                &mut scratch,
-                &mut rng,
-                &token,
-            );
+                cancel: &token,
+            };
+            let got = index.search_request(ds.query(0), &req, &mut scratch, &mut rng);
             assert!(got.is_none(), "{strategy:?} must observe cancellation");
             assert!(
                 scratch.neighbors.is_empty(),
@@ -1062,16 +1011,14 @@ mod tests {
                 &mut scratch_a,
                 &mut rng_a,
             );
+            let req = SearchRequest {
+                k: 5,
+                nprobe: 8,
+                strategy: RerankStrategy::ErrorBound,
+                cancel: &token,
+            };
             let cancellable = index
-                .search_into_cancellable(
-                    ds.query(qi),
-                    5,
-                    8,
-                    RerankStrategy::ErrorBound,
-                    &mut scratch_b,
-                    &mut rng_b,
-                    &token,
-                )
+                .search_request(ds.query(qi), &req, &mut scratch_b, &mut rng_b)
                 .expect("far deadline never cancels");
             assert_eq!(plain, cancellable, "query {qi}");
             assert_eq!(scratch_a.neighbors, scratch_b.neighbors, "query {qi}");

@@ -1,5 +1,5 @@
 //! The batching queue: concurrent search requests are coalesced into
-//! `Snapshot::search_many` calls, with admission control in front.
+//! `Snapshot::search_batch` calls, with admission control in front.
 //!
 //! ## Shape
 //!
@@ -8,7 +8,7 @@
 //! dedicated batch worker drains up to `max_batch` requests at a time —
 //! waiting up to `linger` for stragglers when the queue is shallower than
 //! a full batch — groups them by `(k, nprobe)`, and executes each group
-//! as **one** `search_many` call over the persistent store worker pool
+//! as **one** `search_batch` call over the persistent store worker pool
 //! (thread-local `QueryScratch`/`SearchScratch` reuse, zero steady-state
 //! allocations).
 //!
@@ -38,7 +38,7 @@
 //! (HTTP `504`) **before** dispatch — queue time counts against the
 //! deadline, and a request nobody is waiting for never spends a batch
 //! slot. Entries whose deadline passes mid-scan are cooperatively
-//! cancelled inside `search_many_cancellable` at per-probe checkpoints;
+//! cancelled inside `search_batch` at per-probe checkpoints;
 //! cancellation is per-query, so an expired request never perturbs its
 //! batchmates (their results stay bit-identical to an all-healthy run).
 
@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 /// Tuning for one collection's batcher.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// Most searches coalesced into one `search_many` call.
+    /// Most searches coalesced into one `search_batch` call.
     pub max_batch: usize,
     /// How long to wait for a fuller batch once at least one request is
     /// queued. Zero disables lingering.
@@ -62,7 +62,7 @@ pub struct BatchConfig {
     /// Admission bound: queued-but-unexecuted requests beyond this are
     /// shed with `429`.
     pub queue_depth: usize,
-    /// Thread budget handed to `search_many` per executed batch.
+    /// Thread budget handed to `search_batch` per executed batch.
     pub search_threads: usize,
     /// Seed for the deterministic per-(query, segment) RNG derivation.
     pub seed: u64,
@@ -347,7 +347,7 @@ fn batch_loop(shared: &Shared) {
         }
 
         // Panic isolation: a panic inside search execution (bad index
-        // state, assertion in search_many, …) must not kill the worker —
+        // state, assertion in search_batch, …) must not kill the worker —
         // that would strand every queued and future submitter.
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| execute(shared, &batch)));
         if outcome.is_err() {
@@ -368,8 +368,8 @@ fn batch_loop(shared: &Shared) {
     }
 }
 
-/// Runs one drained batch: group by `(k, nprobe)`, one cancellable
-/// `search_many` per group, answer every slot. A query whose deadline
+/// Runs one drained batch: group by `(k, nprobe)`, one
+/// `search_batch` per group, answer every slot. A query whose deadline
 /// passes mid-scan comes back `Cancelled` and is answered `Expired`,
 /// without perturbing its batchmates.
 fn execute(shared: &Shared, batch: &[Pending]) {
@@ -401,7 +401,7 @@ fn execute(shared: &Shared, batch: &[Pending]) {
             threads: shared.config.search_threads,
             seed: shared.config.seed,
         };
-        let outcomes = snapshot.search_many_cancellable(&queries, k, nprobe, opts, &tokens);
+        let outcomes = snapshot.search_batch(&queries, k, nprobe, opts, &tokens);
         for (&i, outcome) in members.iter().zip(outcomes) {
             match outcome {
                 SearchOutcome::Done(result) => batch[i].slot.answer(Ok(result)),
@@ -518,7 +518,7 @@ mod tests {
             },
             Arc::new(ServerMetrics::new()),
         );
-        // A 3-float query against a dim-4 collection trips search_many's
+        // A 3-float query against a dim-4 collection trips search_batch's
         // "n × dim" assertion inside the batch worker.
         assert!(matches!(
             batcher.submit(vec![0.0; 3], 1, 2, None),

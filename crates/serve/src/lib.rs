@@ -8,7 +8,7 @@
 //!
 //! - **Request batching** ([`batcher`]): concurrent searches are
 //!   coalesced — bounded batch size plus a microsecond-scale linger —
-//!   into single [`Snapshot::search_many`] calls, which amortize
+//!   into single [`Snapshot::search_batch`] calls, which amortize
 //!   snapshot loads and reuse per-thread scratch across the whole batch.
 //! - **Admission control**: the batch queue is bounded. When it is full
 //!   the server sheds with `429` instead of queueing into unbounded
@@ -20,7 +20,7 @@
 //!   admitted, then threads join. No accepted request is silently
 //!   dropped mid-flight.
 //!
-//! [`Snapshot::search_many`]: rabitq_store::Snapshot::search_many
+//! [`Snapshot::search_batch`]: rabitq_store::Snapshot::search_batch
 //!
 //! ## Quick start
 //!

@@ -39,8 +39,6 @@ use rabitq_ivf::SearchResult;
 use rabitq_metrics::timer::time_once;
 use rabitq_metrics::{EventJournal, PromEncoder, Stage, StageNanos};
 use rabitq_store::{CancelToken, ParallelOptions, SearchOutcome, StoreMetrics};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -575,34 +573,25 @@ fn search(state: &ServerState, served: &ServedCollection, req: &Request) -> Resp
             }
         } else {
             // Direct per-request execution on this worker thread: the
-            // unbatched baseline. Snapshot load + serial search.
+            // unbatched baseline. One executor call, seeded per
+            // (request, segment) with or without a deadline; an expired
+            // query bails at the next probed-bucket checkpoint instead
+            // of running the scan to completion.
             let seq = state.direct_seq.fetch_add(1, Ordering::Relaxed);
-            match deadline {
-                None => {
-                    let mut rng = StdRng::seed_from_u64(state.config.batch.seed ^ seq);
-                    Ok(served.reader.search(&query, k, nprobe, &mut rng))
-                }
-                Some(d) => {
-                    // With a deadline the direct path goes through the
-                    // cancellable snapshot search so an expired query
-                    // bails at the next checkpoint instead of running
-                    // the scan to completion.
-                    let token = CancelToken::with_deadline(d);
-                    let opts = ParallelOptions {
-                        threads: 1,
-                        seed: state.config.batch.seed ^ seq,
-                    };
-                    let snapshot = served.reader.snapshot();
-                    match snapshot.search_parallel_cancellable(&query, k, nprobe, opts, &token) {
-                        SearchOutcome::Done(r) => Ok(r),
-                        SearchOutcome::Cancelled => {
-                            state
-                                .metrics
-                                .cancelled_mid_scan
-                                .fetch_add(1, Ordering::Relaxed);
-                            Err(Response::error(504, "deadline exceeded"))
-                        }
-                    }
+            let token = deadline.map_or_else(CancelToken::none, CancelToken::with_deadline);
+            let opts = ParallelOptions {
+                threads: 1,
+                seed: state.config.batch.seed ^ seq,
+            };
+            let snapshot = served.reader.snapshot();
+            match snapshot.search_parallel(&query, k, nprobe, opts, &token) {
+                SearchOutcome::Done(r) => Ok(r),
+                SearchOutcome::Cancelled => {
+                    state
+                        .metrics
+                        .cancelled_mid_scan
+                        .fetch_add(1, Ordering::Relaxed);
+                    Err(Response::error(504, "deadline exceeded"))
                 }
             }
         }

@@ -10,7 +10,7 @@
 //!    worker 0    worker 1 …  worker W-1     (keep-alive request loops)
 //!        │ search     │ insert/delete
 //!        ▼            ▼
-//!    Batcher ──► Snapshot::search_many   Mutex<Collection> (writers only)
+//!    Batcher ──► Snapshot::search_batch  Mutex<Collection> (writers only)
 //! ```
 //!
 //! Searches never touch the writer lock — they go through the collection's

@@ -75,7 +75,7 @@ use crate::segment::Segment;
 use crate::snapshot::{CollectionReader, ParallelOptions, Snapshot, SnapshotSlot};
 use crate::wal::{Wal, WalRecord};
 use rabitq_core::RabitqConfig;
-use rabitq_ivf::{IvfConfig, IvfRabitq, SearchResult};
+use rabitq_ivf::{CancelToken, IvfConfig, IvfRabitq, SearchResult};
 use rand::Rng;
 use std::collections::HashSet;
 use std::io;
@@ -711,7 +711,7 @@ impl Collection {
     /// Batch search with optional multi-threaded execution: `queries` is a
     /// flat `n × dim` buffer, the result is one [`SearchResult`] per query
     /// in query order, bit-identical for every `opts.threads` (see
-    /// [`Snapshot::search_many`]).
+    /// [`Snapshot::search_batch`], run with never-cancelling tokens).
     pub fn search_many(
         &self,
         queries: &[f32],
@@ -719,7 +719,15 @@ impl Collection {
         nprobe: usize,
         opts: ParallelOptions,
     ) -> Vec<SearchResult> {
-        self.snapshot().search_many(queries, k, nprobe, opts)
+        let tokens = vec![CancelToken::none(); queries.len() / self.config.dim];
+        self.snapshot()
+            .search_batch(queries, k, nprobe, opts, &tokens)
+            .into_iter()
+            .map(|o| {
+                o.into_result()
+                    .expect("a never-cancelling token cannot cancel")
+            })
+            .collect()
     }
 
     /// Seals the memtable into a new immutable segment (no-op when empty).

@@ -23,7 +23,7 @@
 //! Reads are concurrent with writes: every mutation publishes an
 //! immutable [`Snapshot`], readers (or detached [`CollectionReader`]
 //! handles on other threads) search that frozen state, and
-//! [`Snapshot::search_many`] fans a query batch over a scoped worker pool
+//! [`Snapshot::search_batch`] fans a query batch over a persistent worker pool
 //! with bit-identical results at every thread count.
 //!
 //! The engine preserves the paper's guarantee end-to-end: segments re-rank

@@ -1,6 +1,6 @@
 //! A persistent, shared worker pool for parallel query execution.
 //!
-//! The first cut of [`crate::Snapshot::search_many`] spawned scoped
+//! The first cut of [`crate::Snapshot::search_batch`] spawned scoped
 //! threads per call, so every batch paid thread startup — measurably flat
 //! multi-thread scaling on short batches (`speedup_mt_over_1t ≈ 1.0` in
 //! `BENCH_search.json`). This pool replaces that: worker threads are

@@ -20,7 +20,7 @@
 use crate::io::{DiskIo, StorageIo};
 use rabitq_core::persist as p;
 use rabitq_core::RabitqConfig;
-use rabitq_ivf::{CancelToken, IvfConfig, IvfRabitq, RerankStrategy, SearchResult, SearchScratch};
+use rabitq_ivf::{IvfConfig, IvfRabitq, SearchRequest, SearchScratch};
 use rand::Rng;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -237,66 +237,20 @@ impl Segment {
             .map(|(local, &global)| (global, self.index.vector(local as u32)))
     }
 
-    /// Searches the segment, returning **global** ids with exact
-    /// (re-ranked) distances; the inner index already skips tombstones.
+    /// Searches the segment through a reused [`SearchScratch`] (see
+    /// [`IvfRabitq::search_request`]): neighbors, remapped to **global**
+    /// ids with exact (re-ranked) distances, land in `scratch.neighbors`;
+    /// the inner index already skips tombstones. Returns
+    /// `(n_estimated, n_reranked)`, or `None` (with `scratch.neighbors`
+    /// cleared) if `req.cancel` fired before the scan finished.
     pub fn search<R: Rng + ?Sized>(
         &self,
         query: &[f32],
-        k: usize,
-        nprobe: usize,
-        rng: &mut R,
-    ) -> SearchResult {
-        let mut res = self.index.search(query, k, nprobe, rng);
-        for entry in &mut res.neighbors {
-            entry.0 = self.ids[entry.0 as usize];
-        }
-        res
-    }
-
-    /// [`Segment::search`] through a reused [`SearchScratch`]: the
-    /// allocation-free path for worker threads that scan many segments per
-    /// query. Neighbors (already remapped to **global** ids) land in
-    /// `scratch.neighbors`; the return value is `(n_estimated, n_reranked)`.
-    pub fn search_into<R: Rng + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
+        req: &SearchRequest,
         scratch: &mut SearchScratch,
         rng: &mut R,
-    ) -> (usize, usize) {
-        let counts =
-            self.index
-                .search_into(query, k, nprobe, RerankStrategy::ErrorBound, scratch, rng);
-        for entry in &mut scratch.neighbors {
-            entry.0 = self.ids[entry.0 as usize];
-        }
-        counts
-    }
-
-    /// [`Segment::search_into`] with cooperative cancellation: the token
-    /// is polled at every probed-bucket boundary inside the index scan.
-    /// Returns `None` (with `scratch.neighbors` cleared) if the token
-    /// cancelled before the scan finished; a completed scan is
-    /// bit-identical to the uncancelled path under the same RNG stream.
-    pub fn search_into_cancellable<R: Rng + ?Sized>(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        scratch: &mut SearchScratch,
-        rng: &mut R,
-        cancel: &CancelToken,
     ) -> Option<(usize, usize)> {
-        let counts = self.index.search_into_cancellable(
-            query,
-            k,
-            nprobe,
-            RerankStrategy::ErrorBound,
-            scratch,
-            rng,
-            cancel,
-        )?;
+        let counts = self.index.search_request(query, req, scratch, rng)?;
         for entry in &mut scratch.neighbors {
             entry.0 = self.ids[entry.0 as usize];
         }
@@ -307,8 +261,24 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rabitq_ivf::{CancelToken, RerankStrategy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Neighbors of one uncancelled error-bound search.
+    fn search(seg: &Segment, query: &[f32], k: usize, seed: u64) -> Vec<(u32, f32)> {
+        let req = SearchRequest {
+            k,
+            nprobe: 64,
+            strategy: RerankStrategy::ErrorBound,
+            cancel: &CancelToken::none(),
+        };
+        let mut scratch = SearchScratch::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        seg.search(query, &req, &mut scratch, &mut rng)
+            .expect("never cancelled");
+        scratch.neighbors
+    }
 
     fn sample_segment(n: usize, dim: usize) -> (Segment, Vec<f32>) {
         let mut rng = StdRng::seed_from_u64(7);
@@ -329,12 +299,11 @@ mod tests {
     #[test]
     fn search_reports_global_ids_with_exact_distances() {
         let (seg, data) = sample_segment(200, 16);
-        let mut rng = StdRng::seed_from_u64(1);
         let probe = &data[50 * 16..51 * 16];
-        let res = seg.search(probe, 3, 64, &mut rng);
-        assert_eq!(res.neighbors[0].0, 50 * 3 + 100);
-        assert!(res.neighbors[0].1 < 1e-6);
-        assert!(res.neighbors.windows(2).all(|w| w[0].1 <= w[1].1));
+        let neighbors = search(&seg, probe, 3, 1);
+        assert_eq!(neighbors[0].0, 50 * 3 + 100);
+        assert!(neighbors[0].1 < 1e-6);
+        assert!(neighbors.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     #[test]
@@ -352,9 +321,8 @@ mod tests {
         let restored = Segment::read(&mut buf.as_slice(), seg.name().to_string()).unwrap();
         assert_eq!(restored.n_live(), 119);
         assert!(!restored.contains_live(100));
-        let mut rng = StdRng::seed_from_u64(2);
-        let res = restored.search(&data[0..8], 5, 64, &mut rng);
-        assert!(res.neighbors.iter().all(|&(id, _)| id != 100));
+        let neighbors = search(&restored, &data[0..8], 5, 2);
+        assert!(neighbors.iter().all(|&(id, _)| id != 100));
     }
 
     #[test]
@@ -393,9 +361,8 @@ mod tests {
 
         let restored = Segment::read(&mut v1.as_slice(), "seg-legacy.rbq".into()).unwrap();
         assert_eq!(restored.len(), 80);
-        let mut rng = StdRng::seed_from_u64(3);
-        let res = restored.search(&data[0..8], 1, 64, &mut rng);
-        assert_eq!(res.neighbors[0].0, 100); // local 0 → global 100
+        let neighbors = search(&restored, &data[0..8], 1, 3);
+        assert_eq!(neighbors[0].0, 100); // local 0 → global 100
     }
 
     #[test]

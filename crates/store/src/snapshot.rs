@@ -25,16 +25,20 @@
 //!
 //! ## Parallel execution
 //!
-//! [`Snapshot::search_many`] (batch) and [`Snapshot::search_parallel`]
-//! (single query, segment-parallel) fan work out over the process-wide
+//! Two executors run every search: [`Snapshot::search_batch`] (a query
+//! batch) and [`Snapshot::search_parallel`] (one query, segment-parallel);
+//! [`Snapshot::search`] is the second on the calling thread under one seed
+//! drawn from the caller's RNG. Both fan work out over the process-wide
 //! persistent [`WorkerPool`] — threads are created once and parked
 //! between calls, so a batch never pays thread startup (the cost that
-//! made the first scoped-spawn implementation scale flat). Each pool
-//! thread keeps a thread-local [`SearchScratch`] that is reused across
-//! queries *and* across batches, preserving the allocation-free
-//! steady state. Both paths derive one RNG per (query, segment) task
-//! from a caller seed, so the results are **bit-identical for every
-//! thread count** — the scheduler can never change an answer.
+//! made the first scoped-spawn implementation scale flat). Each thread
+//! keeps a thread-local [`SearchScratch`] that is reused across
+//! segments, queries *and* batches, preserving the allocation-free
+//! steady state. Both executors take cancellation tokens polled at every
+//! probed bucket, derive one RNG per (query, segment) task from a caller
+//! seed, and merge segments in order, so the results are
+//! **bit-identical for every thread count and every token** — neither
+//! the scheduler nor a deadline can change an answer.
 
 use crate::error::HealthReport;
 use crate::error::HealthState;
@@ -42,7 +46,7 @@ use crate::memview::MemView;
 use crate::observe::StoreMetrics;
 use crate::pool::WorkerPool;
 use crate::segment::Segment;
-use rabitq_ivf::{CancelToken, SearchResult, SearchScratch, TopK};
+use rabitq_ivf::{CancelToken, RerankStrategy, SearchRequest, SearchResult, SearchScratch, TopK};
 use rabitq_metrics::{Stage, StageNanos};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,7 +131,7 @@ impl ParallelOptions {
     }
 }
 
-/// How one query of a cancellable batch ended: with a result, or
+/// How one query of an executor call ended: with a result, or
 /// abandoned at a cancellation checkpoint. Cancellation is per query —
 /// one expired deadline never poisons its batchmates, whose outcomes
 /// (and bits) are identical to an all-healthy batch thanks to the
@@ -175,6 +179,16 @@ fn task_seed(seed: u64, query: usize, segment: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One query of an executor call: the query row, its index in the batch
+/// and the call's seed (together they derive every segment's RNG), and the
+/// request each segment scan runs.
+struct Task<'a> {
+    query: &'a [f32],
+    qi: usize,
+    seed: u64,
+    req: SearchRequest<'a>,
+}
+
 impl Snapshot {
     pub(crate) fn new(dim: usize, memtable: MemView, segments: Vec<Arc<Segment>>) -> Self {
         Self {
@@ -212,10 +226,11 @@ impl Snapshot {
         self.memtable.len()
     }
 
-    /// Serial search with a caller-provided RNG — the historical
+    /// Serial search with a caller-provided RNG — the
     /// [`crate::Collection::search`] contract: exact squared distances,
-    /// ascending, memtable scanned first, then segments in order sharing
-    /// `rng`.
+    /// ascending. Draws one `u64` seed from `rng` and runs the seeded
+    /// executor on the calling thread, so the answer equals
+    /// [`Snapshot::search_parallel`] under that seed at any thread count.
     pub fn search<R: Rng + ?Sized>(
         &self,
         query: &[f32],
@@ -223,73 +238,25 @@ impl Snapshot {
         nprobe: usize,
         rng: &mut R,
     ) -> SearchResult {
-        assert_eq!(query.len(), self.dim, "query dimensionality");
-        let mut top = TopK::new(k);
-        let mut stages = StageNanos::new();
-        let mut n_estimated = 0usize;
-        let mut n_reranked = 0usize;
-        if k > 0 {
-            let t0 = Instant::now();
-            n_reranked += self.memtable.scan_into(query, &mut top);
-            stages.add_ns(Stage::Rerank, ns_since(t0));
-            for segment in &self.segments {
-                let res = segment.search(query, k, nprobe, rng);
-                stages.merge(&res.stages);
-                n_estimated += res.n_estimated;
-                n_reranked += res.n_reranked;
-                for (id, dist) in res.neighbors {
-                    top.push(id, dist);
-                }
-            }
-        }
-        let t0 = Instant::now();
-        let neighbors = top.into_sorted();
-        stages.add_ns(Stage::Merge, ns_since(t0));
-        SearchResult {
-            neighbors,
-            n_estimated,
-            n_reranked,
-            stages,
-        }
+        let opts = ParallelOptions {
+            threads: 1,
+            seed: rng.next_u64(),
+        };
+        self.search_parallel(query, k, nprobe, opts, &CancelToken::none())
+            .into_result()
+            .expect("a never-cancelling token cannot cancel")
     }
 
     /// One query, segments scanned **in parallel** by the persistent
-    /// worker pool. Per-segment results are merged in segment order on the
-    /// calling thread, so the answer is bit-identical for every
-    /// `opts.threads` (including serial).
+    /// worker pool (serially on the calling thread when `opts.threads`
+    /// ≤ 1). Per-segment results are merged in segment order, so the
+    /// answer is bit-identical for every `opts.threads`.
+    ///
+    /// Every segment scan polls `cancel` at its probed-bucket boundaries;
+    /// a single query is all-or-nothing, so one abandoned segment makes
+    /// the whole query [`SearchOutcome::Cancelled`]. A completed query is
+    /// bit-identical for every token.
     pub fn search_parallel(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-    ) -> SearchResult {
-        assert_eq!(query.len(), self.dim, "query dimensionality");
-        let n_segments = self.segments.len();
-        let threads = opts.threads.max(1).min(n_segments.max(1));
-        let mut per_segment: Vec<SearchResult> = if threads <= 1 || n_segments <= 1 {
-            (0..n_segments)
-                .map(|si| self.search_segment_seeded(si, 0, query, k, nprobe, opts.seed))
-                .collect()
-        } else {
-            let slots = ResultSlots::new(n_segments);
-            WorkerPool::global().run(n_segments, threads - 1, |si| {
-                let res = self.search_segment_seeded(si, 0, query, k, nprobe, opts.seed);
-                // SAFETY: the pool claims each `si` exactly once.
-                unsafe { slots.put(si, res) };
-            });
-            slots.into_results()
-        };
-        self.merge_per_segment(query, k, &mut per_segment)
-    }
-
-    /// [`Snapshot::search_parallel`] with cooperative cancellation: every
-    /// per-segment task (running on pool workers) polls the token at its
-    /// probed-bucket boundaries and bails individually. Returns
-    /// [`SearchOutcome::Cancelled`] if any segment scan was abandoned — a
-    /// single query is all-or-nothing. A completed query is bit-identical
-    /// to [`Snapshot::search_parallel`] with the same seed.
-    pub fn search_parallel_cancellable(
         &self,
         query: &[f32],
         k: usize,
@@ -298,127 +265,61 @@ impl Snapshot {
         cancel: &CancelToken,
     ) -> SearchOutcome {
         assert_eq!(query.len(), self.dim, "query dimensionality");
-        let n_segments = self.segments.len();
-        let threads = opts.threads.max(1).min(n_segments.max(1));
-        let per_segment: Vec<Option<SearchResult>> = if threads <= 1 || n_segments <= 1 {
-            (0..n_segments)
-                .map(|si| {
-                    self.search_segment_seeded_cancellable(
-                        si, 0, query, k, nprobe, opts.seed, cancel,
-                    )
-                })
-                .collect()
-        } else {
-            let slots = ResultSlots::new(n_segments);
-            WorkerPool::global().run(n_segments, threads - 1, |si| {
-                let res = self
-                    .search_segment_seeded_cancellable(si, 0, query, k, nprobe, opts.seed, cancel);
-                // SAFETY: the pool claims each `si` exactly once.
-                unsafe { slots.put(si, res) };
-            });
-            slots.into_results()
+        let task = Task {
+            query,
+            qi: 0,
+            seed: opts.seed,
+            req: SearchRequest {
+                k,
+                nprobe,
+                strategy: RerankStrategy::ErrorBound,
+                cancel,
+            },
         };
-        let mut done = Vec::with_capacity(per_segment.len());
-        for res in per_segment {
-            match res {
-                Some(res) => done.push(res),
-                None => return SearchOutcome::Cancelled,
-            }
-        }
-        SearchOutcome::Done(self.merge_per_segment(query, k, &mut done))
-    }
-
-    /// Merges per-segment results (plus the memtable scan) into one
-    /// [`SearchResult`], in segment order — the deterministic tail shared
-    /// by every parallel path.
-    fn merge_per_segment(
-        &self,
-        query: &[f32],
-        k: usize,
-        per_segment: &mut [SearchResult],
-    ) -> SearchResult {
-        let mut top = TopK::new(k);
-        let mut stages = StageNanos::new();
-        let mut n_estimated = 0usize;
-        let mut n_reranked = 0usize;
-        if k > 0 {
-            let t0 = Instant::now();
-            n_reranked += self.memtable.scan_into(query, &mut top);
-            stages.add_ns(Stage::Rerank, ns_since(t0));
-            for res in per_segment.iter() {
-                stages.merge(&res.stages);
-                n_estimated += res.n_estimated;
-                n_reranked += res.n_reranked;
-                for &(id, dist) in &res.neighbors {
-                    top.push(id, dist);
-                }
-            }
-        }
-        let t0 = Instant::now();
-        let neighbors = top.into_sorted();
-        stages.add_ns(Stage::Merge, ns_since(t0));
-        SearchResult {
-            neighbors,
-            n_estimated,
-            n_reranked,
-            stages,
-        }
-    }
-
-    /// Batch search: `queries` is a flat `n × dim` buffer; returns one
-    /// [`SearchResult`] per query, in query order. Queries are claimed
-    /// dynamically by up to `opts.threads` participants of the persistent
-    /// [`WorkerPool`] (submitter included), each reusing its thread-local
-    /// [`SearchScratch`] across all queries, segments, and batches — the
-    /// allocation-free path without per-call thread startup. Results are
-    /// bit-identical for every thread count (per-(query, segment) seeded
-    /// RNGs, merge in segment order).
-    pub fn search_many(
-        &self,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-    ) -> Vec<SearchResult> {
-        assert!(
-            queries.len().is_multiple_of(self.dim),
-            "queries buffer must be n × dim"
-        );
-        let n = queries.len() / self.dim;
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = opts.threads.max(1).min(n);
+        let n_segments = self.segments.len();
+        let threads = opts.threads.max(1).min(n_segments);
         if threads <= 1 {
-            return SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                (0..n)
-                    .map(|qi| {
-                        self.search_one_seeded(qi, queries, k, nprobe, opts.seed, &mut scratch)
-                    })
-                    .collect()
-            });
+            return SCRATCH.with(|s| self.fan_out(&task, &mut s.borrow_mut()));
         }
-        let slots = ResultSlots::new(n);
-        WorkerPool::global().run(n, threads - 1, |qi| {
+        let slots = ResultSlots::new(n_segments);
+        WorkerPool::global().run(n_segments, threads - 1, |si| {
             let res = SCRATCH.with(|s| {
                 let mut scratch = s.borrow_mut();
-                self.search_one_seeded(qi, queries, k, nprobe, opts.seed, &mut scratch)
+                let (n_estimated, n_reranked) = self.search_segment(si, &task, &mut scratch)?;
+                Some(SearchResult {
+                    neighbors: scratch.neighbors.clone(),
+                    n_estimated,
+                    n_reranked,
+                    stages: scratch.stages,
+                })
             });
-            // SAFETY: the pool claims each `qi` exactly once.
-            unsafe { slots.put(qi, res) };
+            // SAFETY: the pool claims each `si` exactly once.
+            unsafe { slots.put(si, res) };
         });
-        slots.into_results()
+        let per_segment = slots.into_results();
+        self.merge(&task, |si, top| {
+            let res = per_segment[si].as_ref()?;
+            for &(id, dist) in &res.neighbors {
+                top.push(id, dist);
+            }
+            Some((res.stages, res.n_estimated, res.n_reranked))
+        })
     }
 
-    /// [`Snapshot::search_many`] with per-query cooperative cancellation:
-    /// `tokens[qi]` guards query `qi` alone. A query whose token cancels
-    /// (deadline passed, client gone) bails at the next probed-bucket or
-    /// segment boundary and yields [`SearchOutcome::Cancelled`]; its
-    /// batchmates are untouched — their results are bit-identical to an
-    /// all-healthy [`Snapshot::search_many`] run with the same seed,
-    /// because every (query, segment) task derives its own RNG.
-    pub fn search_many_cancellable(
+    /// Batch search: `queries` is a flat `n × dim` buffer and `tokens[qi]`
+    /// guards query `qi` alone; returns one [`SearchOutcome`] per query,
+    /// in query order. Queries are claimed dynamically by up to
+    /// `opts.threads` participants of the persistent [`WorkerPool`]
+    /// (submitter included), each reusing its thread-local
+    /// [`SearchScratch`] across all queries, segments, and batches — the
+    /// allocation-free path without per-call thread startup.
+    ///
+    /// A query whose token cancels (deadline passed, client gone) bails at
+    /// the next probed-bucket or segment boundary; its batchmates are
+    /// untouched. Every (query, segment) task derives its own RNG and
+    /// segments merge in order, so results are bit-identical for every
+    /// thread count and every token.
+    pub fn search_batch(
         &self,
         queries: &[f32],
         k: usize,
@@ -432,182 +333,97 @@ impl Snapshot {
         );
         let n = queries.len() / self.dim;
         assert_eq!(tokens.len(), n, "one token per query");
-        if n == 0 {
-            return Vec::new();
-        }
+        let run = |qi: usize| {
+            let task = Task {
+                query: &queries[qi * self.dim..(qi + 1) * self.dim],
+                qi,
+                seed: opts.seed,
+                req: SearchRequest {
+                    k,
+                    nprobe,
+                    strategy: RerankStrategy::ErrorBound,
+                    cancel: &tokens[qi],
+                },
+            };
+            SCRATCH.with(|s| self.fan_out(&task, &mut s.borrow_mut()))
+        };
         let threads = opts.threads.max(1).min(n);
         if threads <= 1 {
-            return SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                (0..n)
-                    .map(|qi| {
-                        self.search_one_outcome(
-                            qi,
-                            queries,
-                            k,
-                            nprobe,
-                            opts.seed,
-                            &mut scratch,
-                            &tokens[qi],
-                        )
-                    })
-                    .collect()
-            });
+            return (0..n).map(run).collect();
         }
         let slots = ResultSlots::new(n);
         WorkerPool::global().run(n, threads - 1, |qi| {
-            let res = SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                self.search_one_outcome(
-                    qi,
-                    queries,
-                    k,
-                    nprobe,
-                    opts.seed,
-                    &mut scratch,
-                    &tokens[qi],
-                )
-            });
             // SAFETY: the pool claims each `qi` exactly once.
-            unsafe { slots.put(qi, res) };
+            unsafe { slots.put(qi, run(qi)) };
         });
         slots.into_results()
     }
 
-    /// Full fan-out for query `qi` with deterministic per-segment RNGs.
-    fn search_one_seeded(
-        &self,
-        qi: usize,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
-        scratch: &mut SearchScratch,
-    ) -> SearchResult {
-        self.search_one_seeded_cancellable(
-            qi,
-            queries,
-            k,
-            nprobe,
-            seed,
-            scratch,
-            &CancelToken::none(),
-        )
-        .expect("a never-cancelling token cannot cancel")
+    /// The per-query fan-out on one thread: every segment scanned in turn
+    /// through `scratch`, its hits folded straight into the merge — no
+    /// per-segment allocation.
+    fn fan_out(&self, task: &Task, scratch: &mut SearchScratch) -> SearchOutcome {
+        self.merge(task, |si, top| {
+            let (n_estimated, n_reranked) = self.search_segment(si, task, scratch)?;
+            for &(id, dist) in &scratch.neighbors {
+                top.push(id, dist);
+            }
+            Some((scratch.stages, n_estimated, n_reranked))
+        })
     }
 
-    /// [`Snapshot::search_one_seeded`] as a [`SearchOutcome`].
-    #[allow(clippy::too_many_arguments)]
-    fn search_one_outcome(
+    /// The per-segment task: scans segment `si` for `task` under the
+    /// RNG derived from its (query, segment) seed. `None` means the token
+    /// cancelled mid-scan.
+    fn search_segment(
         &self,
-        qi: usize,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
+        si: usize,
+        task: &Task,
         scratch: &mut SearchScratch,
-        cancel: &CancelToken,
+    ) -> Option<(usize, usize)> {
+        let mut rng = StdRng::seed_from_u64(task_seed(task.seed, task.qi, si));
+        self.segments[si].search(task.query, &task.req, scratch, &mut rng)
+    }
+
+    /// Merges one query's hits in the order every executor shares — the
+    /// memtable scan first, then segments in segment order — so where a
+    /// segment scan ran can never change the answer. `segment(si, top)`
+    /// pushes segment `si`'s hits into `top` and returns its stage trace
+    /// and `(n_estimated, n_reranked)`, or `None` to abandon the query.
+    /// The token is polled once before the memtable scan.
+    fn merge(
+        &self,
+        task: &Task,
+        mut segment: impl FnMut(usize, &mut TopK) -> Option<(StageNanos, usize, usize)>,
     ) -> SearchOutcome {
-        match self.search_one_seeded_cancellable(qi, queries, k, nprobe, seed, scratch, cancel) {
-            Some(res) => SearchOutcome::Done(res),
-            None => SearchOutcome::Cancelled,
-        }
-    }
-
-    /// The cancellable fan-out core: polls the token before the memtable
-    /// scan and (via [`Segment::search_into_cancellable`]) at every
-    /// probed-bucket boundary within each segment. `None` means the query
-    /// was abandoned; nothing partial is returned.
-    #[allow(clippy::too_many_arguments)]
-    fn search_one_seeded_cancellable(
-        &self,
-        qi: usize,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
-        scratch: &mut SearchScratch,
-        cancel: &CancelToken,
-    ) -> Option<SearchResult> {
-        let query = &queries[qi * self.dim..(qi + 1) * self.dim];
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(task.req.k);
         let mut stages = StageNanos::new();
         let mut n_estimated = 0usize;
         let mut n_reranked = 0usize;
-        if k > 0 {
-            if cancel.is_cancelled() {
-                return None;
+        if task.req.k > 0 {
+            if task.req.cancel.is_cancelled() {
+                return SearchOutcome::Cancelled;
             }
             let t0 = Instant::now();
-            n_reranked += self.memtable.scan_into(query, &mut top);
+            n_reranked += self.memtable.scan_into(task.query, &mut top);
             stages.add_ns(Stage::Rerank, ns_since(t0));
-            for (si, segment) in self.segments.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(task_seed(seed, qi, si));
-                let (e, r) =
-                    segment.search_into_cancellable(query, k, nprobe, scratch, &mut rng, cancel)?;
-                stages.merge(&scratch.stages);
+            for si in 0..self.segments.len() {
+                let Some((seg_stages, e, r)) = segment(si, &mut top) else {
+                    return SearchOutcome::Cancelled;
+                };
+                stages.merge(&seg_stages);
                 n_estimated += e;
                 n_reranked += r;
-                for &(id, dist) in &scratch.neighbors {
-                    top.push(id, dist);
-                }
             }
         }
         let t0 = Instant::now();
         let neighbors = top.into_sorted();
         stages.add_ns(Stage::Merge, ns_since(t0));
-        Some(SearchResult {
+        SearchOutcome::Done(SearchResult {
             neighbors,
             n_estimated,
             n_reranked,
             stages,
-        })
-    }
-
-    /// Scans one segment for query index `qi` under the derived task seed.
-    fn search_segment_seeded(
-        &self,
-        si: usize,
-        qi: usize,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
-    ) -> SearchResult {
-        let mut rng = StdRng::seed_from_u64(task_seed(seed, qi, si));
-        self.segments[si].search(query, k, nprobe, &mut rng)
-    }
-
-    /// [`Snapshot::search_segment_seeded`] with cancellation checkpoints;
-    /// `None` means the token cancelled mid-scan.
-    #[allow(clippy::too_many_arguments)]
-    fn search_segment_seeded_cancellable(
-        &self,
-        si: usize,
-        qi: usize,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        seed: u64,
-        cancel: &CancelToken,
-    ) -> Option<SearchResult> {
-        let mut rng = StdRng::seed_from_u64(task_seed(seed, qi, si));
-        SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
-            let (n_estimated, n_reranked) = self.segments[si].search_into_cancellable(
-                query,
-                k,
-                nprobe,
-                &mut scratch,
-                &mut rng,
-                cancel,
-            )?;
-            Some(SearchResult {
-                neighbors: scratch.neighbors.clone(),
-                n_estimated,
-                n_reranked,
-                stages: scratch.stages,
-            })
         })
     }
 }
@@ -707,32 +523,6 @@ impl CollectionReader {
         rng: &mut R,
     ) -> SearchResult {
         self.snapshot().search(query, k, nprobe, rng)
-    }
-
-    /// Batch search over the latest snapshot (see
-    /// [`Snapshot::search_many`]).
-    pub fn search_many(
-        &self,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-    ) -> Vec<SearchResult> {
-        self.snapshot().search_many(queries, k, nprobe, opts)
-    }
-
-    /// Cancellable batch search over the latest snapshot (see
-    /// [`Snapshot::search_many_cancellable`]).
-    pub fn search_many_cancellable(
-        &self,
-        queries: &[f32],
-        k: usize,
-        nprobe: usize,
-        opts: ParallelOptions,
-        tokens: &[CancelToken],
-    ) -> Vec<SearchOutcome> {
-        self.snapshot()
-            .search_many_cancellable(queries, k, nprobe, opts, tokens)
     }
 }
 

@@ -4,9 +4,9 @@
 //! parallel execution paths must be bit-identical to serial execution.
 
 use rabitq_math::vecs;
-use rabitq_store::{Collection, CollectionConfig, ParallelOptions};
+use rabitq_store::{CancelToken, Collection, CollectionConfig, ParallelOptions};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -156,7 +156,8 @@ fn snapshots_are_point_in_time_views() {
 }
 
 /// `search_many` must return bit-identical results for every thread
-/// count, and `search_parallel` must agree with the serial merge.
+/// count, `search_parallel` must agree with the serial merge, and serial
+/// `search(rng)` must equal `search_parallel` under the seed it draws.
 #[test]
 fn parallel_execution_is_bit_identical_to_serial() {
     let dir = tmp_dir("deterministic");
@@ -188,9 +189,31 @@ fn parallel_execution_is_bit_identical_to_serial() {
     let snapshot = collection.snapshot();
     for qi in 0..5 {
         let query = &queries[qi * dim..(qi + 1) * dim];
-        let one = snapshot.search_parallel(query, 10, 16, ParallelOptions::threaded(1));
-        let many = snapshot.search_parallel(query, 10, 16, ParallelOptions::threaded(4));
+        let search = |threads, seed| {
+            snapshot
+                .search_parallel(
+                    query,
+                    10,
+                    16,
+                    ParallelOptions { threads, seed },
+                    &CancelToken::none(),
+                )
+                .into_result()
+                .expect("never cancelled")
+        };
+        let seed = ParallelOptions::default().seed;
+        let one = search(1, seed);
+        let many = search(4, seed);
         assert_eq!(one.neighbors, many.neighbors, "query {qi}");
+
+        // Serial `search(rng)` is the executor under one seed drawn
+        // from `rng`.
+        let drawn = StdRng::seed_from_u64(qi as u64).next_u64();
+        let serial = snapshot.search(query, 10, 16, &mut StdRng::seed_from_u64(qi as u64));
+        let seeded = search(4, drawn);
+        assert_eq!(serial.neighbors, seeded.neighbors, "query {qi}");
+        assert_eq!(serial.n_estimated, seeded.n_estimated);
+        assert_eq!(serial.n_reranked, seeded.n_reranked);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,6 @@
 //! Cooperative cancellation at the snapshot layer: per-query tokens in
-//! `search_many_cancellable`, all-or-nothing cancellation in
-//! `search_parallel_cancellable`, and the bit-identity guarantee —
+//! `search_batch`, all-or-nothing cancellation in `search_parallel`, and
+//! the bit-identity guarantee —
 //! cancelling one query of a batch changes **nothing** about its
 //! batchmates' answers, at any thread count.
 
@@ -46,9 +46,10 @@ fn uncancelled_batch_matches_plain_search_many_bit_for_bit() {
     let q = queries(6);
     for threads in [1, 4] {
         let opts = ParallelOptions::threaded(threads);
-        let plain = snapshot.search_many(&q, 5, 64, opts);
-        let tokens = vec![CancelToken::none(); 6];
-        let outcomes = snapshot.search_many_cancellable(&q, 5, 64, opts, &tokens);
+        let plain = collection.search_many(&q, 5, 64, opts);
+        let far = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
+        let tokens = vec![far; 6];
+        let outcomes = snapshot.search_batch(&q, 5, 64, opts, &tokens);
         assert_eq!(outcomes.len(), plain.len());
         for (out, want) in outcomes.into_iter().zip(&plain) {
             let got = out.into_result().expect("nothing cancelled");
@@ -67,7 +68,7 @@ fn cancelling_one_query_leaves_batchmates_bit_identical() {
     let snapshot = collection.snapshot();
     let q = queries(6);
     let opts = ParallelOptions::threaded(4);
-    let healthy = snapshot.search_many(&q, 5, 64, opts);
+    let healthy = collection.search_many(&q, 5, 64, opts);
 
     // Query 2's client gave up before dispatch; 4's deadline already
     // passed. Both must come back Cancelled, everyone else untouched.
@@ -82,7 +83,7 @@ fn cancelling_one_query_leaves_batchmates_bit_identical() {
             _ => CancelToken::none(),
         })
         .collect();
-    let outcomes = snapshot.search_many_cancellable(&q, 5, 64, opts, &tokens);
+    let outcomes = snapshot.search_batch(&q, 5, 64, opts, &tokens);
     for (qi, out) in outcomes.into_iter().enumerate() {
         match qi {
             2 | 4 => assert!(out.is_cancelled(), "query {qi} must cancel"),
@@ -109,13 +110,16 @@ fn expired_deadline_cancels_search_parallel() {
     let opts = ParallelOptions::threaded(4);
 
     let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-    let out = snapshot.search_parallel_cancellable(&q, 5, 64, opts, &expired);
+    let out = snapshot.search_parallel(&q, 5, 64, opts, &expired);
     assert!(out.is_cancelled());
 
     // A generous deadline completes and matches the uncancelled path.
-    let healthy = snapshot.search_parallel(&q, 5, 64, opts);
+    let healthy = snapshot
+        .search_parallel(&q, 5, 64, opts, &CancelToken::none())
+        .into_result()
+        .expect("never cancelled");
     let live = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
-    match snapshot.search_parallel_cancellable(&q, 5, 64, opts, &live) {
+    match snapshot.search_parallel(&q, 5, 64, opts, &live) {
         SearchOutcome::Done(res) => {
             assert_eq!(res.neighbors, healthy.neighbors);
             assert_eq!(res.n_estimated, healthy.n_estimated);
@@ -136,7 +140,9 @@ fn reader_handle_exposes_cancellable_batches() {
         t.cancel();
         t
     }];
-    let outcomes = reader.search_many_cancellable(&q, 3, 64, ParallelOptions::serial(), &tokens);
+    let outcomes = reader
+        .snapshot()
+        .search_batch(&q, 3, 64, ParallelOptions::serial(), &tokens);
     assert!(!outcomes[0].is_cancelled());
     assert!(outcomes[1].is_cancelled());
     std::fs::remove_dir_all(&dir).ok();

@@ -47,9 +47,11 @@ fn vector_for(i: u32) -> Vec<f32> {
 }
 
 /// Ops performed by a fresh open, so scripts can target the first
-/// insert's WAL append precisely.
-fn open_ops(config: &CollectionConfig) -> u64 {
-    let dir = test_dir("op-count");
+/// insert's WAL append precisely. `name` keeps each test's probe
+/// directory its own: tests run in parallel, and a shared directory
+/// would be deleted from under a concurrent probe.
+fn open_ops(name: &str, config: &CollectionConfig) -> u64 {
+    let dir = test_dir(&format!("op-count-{name}"));
     let counting = Arc::new(FaultIo::counting(disk_io()));
     drop(Collection::open_with_io(&dir, config.clone(), counting.clone()).unwrap());
     let ops = counting.ops();
@@ -60,7 +62,7 @@ fn open_ops(config: &CollectionConfig) -> u64 {
 #[test]
 fn transient_fault_within_retry_budget_is_absorbed() {
     let config = fast_config();
-    let at = open_ops(&config);
+    let at = open_ops("absorbed", &config);
     let dir = test_dir("absorbed");
     // Fault the first insert's WAL append twice; the third attempt (the
     // second retry) lands past the window and succeeds.
@@ -101,7 +103,7 @@ fn transient_fault_within_retry_budget_is_absorbed() {
 fn frozen_collection_thaws_once_the_fault_heals() {
     let mut config = fast_config();
     config.io_retry_attempts = 2;
-    let at = open_ops(&config);
+    let at = open_ops("thaw", &config);
     let dir = test_dir("thaw");
     // Window of 3: initial attempt + both retries all fault, then heal.
     let io = Arc::new(FaultIo::scripted(
@@ -174,7 +176,7 @@ fn operator_freeze_never_auto_thaws() {
 fn journal_seqs_stay_monotonic_across_repeated_thaw_cycles() {
     let mut config = fast_config();
     config.io_retry_attempts = 0; // freeze on the first error
-    let at = open_ops(&config);
+    let at = open_ops("cycles", &config);
     let dir = test_dir("cycles");
     // Two disjoint single-op fault windows: ops `at` and `at + 4` fail.
     // (Each insert that succeeds costs one WAL append; a failed insert
@@ -225,7 +227,7 @@ fn journal_seqs_stay_monotonic_across_repeated_thaw_cycles() {
 fn partial_batch_resume_after_thaw_never_double_commits() {
     let mut config = fast_config();
     config.io_retry_attempts = 0;
-    let at = open_ops(&config);
+    let at = open_ops("partial-batch", &config);
     let dir = test_dir("partial-batch");
     // Ops `at` and `at+1` are the first two inserts' WAL appends — let
     // them succeed; fault the third (op at+2), then heal.
